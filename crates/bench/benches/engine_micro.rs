@@ -3,7 +3,7 @@
 //! kernels.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use dmhpc_core::cluster::{Cluster, MemoryMix};
+use dmhpc_core::cluster::{AllocEntry, Cluster, JobAlloc, MemoryMix, NodeId};
 use dmhpc_core::config::SystemConfig;
 use dmhpc_core::engine::{EventKind, EventQueue, SimTime};
 use dmhpc_core::job::JobId;
@@ -101,7 +101,80 @@ fn bench_ledger(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // Contention-ledger upkeep at 1, 8 and 64 lenders per job: one
+    // grown entry (top-ups on every lender), a shrink back to local,
+    // and the two reads `update_speed` makes per re-speed.
+    for k in [1usize, 8, 64] {
+        let (cluster, top_up) = ledger_fixture(k);
+        g.bench_function(format!("grow_entry_l{k}"), |b| {
+            b.iter_batched(
+                || cluster.clone(),
+                |mut cl| {
+                    cl.grow_entry(JobId(0), NodeId(0), 0, black_box(&top_up), 6.0);
+                    cl
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        g.bench_function(format!("shrink_job_l{k}"), |b| {
+            b.iter_batched(
+                || cluster.clone(),
+                |mut cl| {
+                    black_box(cl.shrink_job(JobId(0), 1024, 6.0));
+                    cl
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        g.bench_function(format!("update_speed_reads_l{k}"), |b| {
+            b.iter(|| {
+                black_box((
+                    cluster.hottest_lender_demand_gbs(black_box(JobId(0))),
+                    cluster.priced_remote_fraction(black_box(JobId(0))),
+                ))
+            })
+        });
+    }
     g.finish();
+}
+
+/// Compute nodes of the ledger fixture's main job.
+const LEDGER_ENTRIES: u32 = 4;
+
+/// A cluster where job 0 runs on `LEDGER_ENTRIES` nodes and every entry
+/// borrows 256 MB from each of `k` lenders (so `k` distinct lenders over
+/// `4k` slices), and job 1 borrows from the same lenders, so the
+/// per-lender demand is shared. Returns the cluster and a top-up grow of
+/// 64 MB on every lender.
+fn ledger_fixture(k: usize) -> (Cluster, Vec<(NodeId, u64)>) {
+    let first_lender = LEDGER_ENTRIES + 1;
+    let mut c = Cluster::new(vec![64 * 1024; first_lender as usize + k], 0.5);
+    let slices = |mb: u64| -> Vec<(NodeId, u64)> {
+        (0..k as u32)
+            .map(|l| (NodeId(first_lender + l), mb))
+            .collect()
+    };
+    let entries = (0..LEDGER_ENTRIES)
+        .map(|n| AllocEntry {
+            node: NodeId(n),
+            local_mb: 1024,
+            remote: slices(256),
+        })
+        .collect();
+    c.start_job(JobId(0), JobAlloc { entries }, 6.0);
+    let other = AllocEntry {
+        node: NodeId(LEDGER_ENTRIES),
+        local_mb: 1024,
+        remote: slices(128),
+    };
+    c.start_job(
+        JobId(1),
+        JobAlloc {
+            entries: vec![other],
+        },
+        4.0,
+    );
+    (c, slices(64))
 }
 
 fn bench_simulation(c: &mut Criterion) {

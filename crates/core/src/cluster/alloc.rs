@@ -74,38 +74,6 @@ impl JobAlloc {
             self.remote_mb() as f64 / total as f64
         }
     }
-
-    /// Collect the distinct lender nodes into `out` (cleared first), in
-    /// first-appearance order: the allocation-free twin of
-    /// [`Self::lenders`] for hot paths with a reusable buffer.
-    pub fn lenders_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        for e in &self.entries {
-            for &(l, _) in &e.remote {
-                if !out.contains(&l) {
-                    out.push(l);
-                }
-            }
-        }
-    }
-
-    /// Iterate over the distinct lender nodes of this allocation.
-    pub fn lenders(&self) -> impl Iterator<Item = NodeId> + '_ {
-        // Lender lists are tiny (a few entries); a linear de-dup avoids a
-        // HashSet allocation on this hot path.
-        let mut seen: Vec<NodeId> = Vec::new();
-        self.entries
-            .iter()
-            .flat_map(|e| e.remote.iter().map(|&(l, _)| l))
-            .filter(move |l| {
-                if seen.contains(l) {
-                    false
-                } else {
-                    seen.push(*l);
-                    true
-                }
-            })
-    }
 }
 
 impl Cluster {
@@ -120,6 +88,12 @@ impl Cluster {
         assert!(!self.allocs.contains_key(&job), "{job} is already placed");
         assert!(!alloc.entries.is_empty(), "empty allocation for {job}");
         // Validate first so a panic cannot leave a half-applied ledger.
+        // Borrows are aggregated per lender (first-appearance order)
+        // through the node→slot map, together with the local slice the
+        // job places on that lender when it is also a compute node.
+        let mut per_lender = std::mem::take(&mut self.scratch_per_lender);
+        per_lender.clear();
+        self.lender_slots.clear();
         for e in &alloc.entries {
             let n = self.node(e.node);
             assert!(n.running.is_none(), "node {:?} is busy", e.node);
@@ -130,36 +104,30 @@ impl Cluster {
                 e.local_mb,
                 n.free_mb()
             );
-            let mut seen = Vec::new();
+            let first = per_lender.len();
             for &(lender, mb) in &e.remote {
                 assert!(lender != e.node, "{job} borrows from its own node");
-                assert!(!seen.contains(&lender), "duplicate lender {lender:?}");
-                seen.push(lender);
                 assert!(mb > 0, "zero-size borrow from {lender:?}");
-            }
-        }
-        // Aggregate borrows per lender across entries for the free check.
-        // A sorted scratch Vec instead of a HashMap: no allocation after
-        // warm-up, and a deterministic lender apply order.
-        let mut per_lender = std::mem::take(&mut self.scratch_per_lender);
-        per_lender.clear();
-        for e in &alloc.entries {
-            for &(lender, mb) in &e.remote {
-                match per_lender.binary_search_by_key(&lender, |&(l, _)| l) {
-                    Ok(pos) => per_lender[pos].1 += mb,
-                    Err(pos) => per_lender.insert(pos, (lender, mb)),
+                match self.lender_slots.get(lender) {
+                    Some(slot) => {
+                        assert!(slot < first, "duplicate lender {lender:?}");
+                        per_lender[slot].1 += mb;
+                    }
+                    None => {
+                        self.lender_slots.insert(lender, per_lender.len());
+                        per_lender.push((lender, mb, 0));
+                    }
                 }
             }
         }
-        for &(lender, mb) in &per_lender {
+        for e in &alloc.entries {
+            if let Some(slot) = self.lender_slots.get(e.node) {
+                per_lender[slot].2 += e.local_mb;
+            }
+        }
+        for &(lender, mb, local_here) in &per_lender {
             // If the lender is also one of the job's compute nodes, its
             // free memory shrinks by the local slice being placed there.
-            let local_here: u64 = alloc
-                .entries
-                .iter()
-                .filter(|e| e.node == lender)
-                .map(|e| e.local_mb)
-                .sum();
             let free = self.node(lender).free_mb().saturating_sub(local_here);
             assert!(mb <= free, "lender {lender:?}: borrow {mb} > free {free}");
         }
@@ -172,7 +140,7 @@ impl Cluster {
             self.total_alloc_mb = mb_add(self.total_alloc_mb, e.local_mb);
             self.idle_nodes -= 1;
         }
-        for &(lender, mb) in &per_lender {
+        for &(lender, mb, _) in &per_lender {
             self.touch(lender, |n| n.lent_mb = mb_add(n.lent_mb, mb));
             self.total_alloc_mb = mb_add(self.total_alloc_mb, mb);
             self.borrowers.entry(lender).or_default().push(job);
@@ -216,24 +184,7 @@ impl Cluster {
                 }
             }
         }
-        // Clear contention contributions and the reverse index.
-        if let Some(contribs) = self.demand_contribs.remove(&job) {
-            for (lender, gbs) in contribs {
-                let n = &mut self.nodes[lender.0 as usize];
-                n.remote_demand_gbs = (n.remote_demand_gbs - gbs).max(0.0);
-            }
-        }
-        let mut lenders = std::mem::take(&mut self.scratch_lenders);
-        alloc.lenders_into(&mut lenders);
-        for &lender in &lenders {
-            if let Some(bs) = self.borrowers.get_mut(&lender) {
-                bs.retain(|&j| j != job);
-                if bs.is_empty() {
-                    self.borrowers.remove(&lender);
-                }
-            }
-        }
-        self.scratch_lenders = lenders;
+        self.clear_demand(job);
         self.clear_alloc_version(job);
         self.debug_check();
         alloc
@@ -252,6 +203,7 @@ impl Cluster {
         let mut released = 0u64;
         let mut touched_lenders = std::mem::take(&mut self.scratch_touched);
         touched_lenders.clear();
+        self.lender_slots.clear();
         for e in &mut alloc.entries {
             let mut excess = e.total_mb().saturating_sub(target_mb);
             if excess == 0 {
@@ -273,7 +225,8 @@ impl Cluster {
                 if self.is_cross(e.node, lender) {
                     self.total_cross_mb = mb_sub(self.total_cross_mb, take);
                 }
-                if !touched_lenders.contains(&lender) {
+                if self.lender_slots.get(lender).is_none() {
+                    self.lender_slots.insert(lender, touched_lenders.len());
                     touched_lenders.push(lender);
                 }
                 if *mb == 0 {
@@ -288,25 +241,19 @@ impl Cluster {
                 });
             }
         }
-        // Drop reverse-index entries for lenders no longer used.
-        let mut still = std::mem::take(&mut self.scratch_lenders);
-        alloc.lenders_into(&mut still);
-        for &lender in &touched_lenders {
-            if !still.contains(&lender) {
-                if let Some(bs) = self.borrowers.get_mut(&lender) {
-                    bs.retain(|&j| j != job);
-                    if bs.is_empty() {
-                        self.borrowers.remove(&lender);
-                    }
-                }
-            }
-        }
-        self.scratch_lenders = still;
-        self.scratch_touched = touched_lenders;
         self.total_alloc_mb = mb_sub(self.total_alloc_mb, released);
         self.allocs.insert(job, alloc);
         self.bump_alloc_version(job);
         self.refresh_demand(job, bandwidth_gbs);
+        // Drop reverse-index entries for touched lenders the job no
+        // longer uses (its refreshed contributions are the lenders left).
+        self.mark_job_lenders(job);
+        for &lender in &touched_lenders {
+            if self.lender_slots.get(lender).is_none() {
+                self.unlink_borrower(lender, job);
+            }
+        }
+        self.scratch_touched = touched_lenders;
         self.debug_check();
         released
     }
@@ -357,6 +304,9 @@ impl Cluster {
             n.local_alloc_mb = mb_add(n.local_alloc_mb, add_local)
         });
         self.total_alloc_mb = mb_add(self.total_alloc_mb, add_local);
+        // The job is in the borrower list of exactly its current
+        // lenders; it joins the list of each lender new to it.
+        self.mark_job_lenders(job);
         for &(lender, mb) in add_remote {
             self.touch(lender, |n| n.lent_mb = mb_add(n.lent_mb, mb));
             self.total_alloc_mb = mb_add(self.total_alloc_mb, mb);
@@ -364,9 +314,9 @@ impl Cluster {
             if self.is_cross(node, lender) {
                 self.total_cross_mb = mb_add(self.total_cross_mb, mb);
             }
-            let bs = self.borrowers.entry(lender).or_default();
-            if !bs.contains(&job) {
-                bs.push(job);
+            if self.lender_slots.get(lender).is_none() {
+                self.lender_slots.insert(lender, 0);
+                self.borrowers.entry(lender).or_default().push(job);
             }
         }
         let alloc = self.allocs.get_mut(&job).expect("grow of unplaced job");
@@ -376,51 +326,21 @@ impl Cluster {
             .find(|e| e.node == node)
             .expect("grow on a node outside the job's allocation");
         entry.local_mb = mb_add(entry.local_mb, add_local);
+        self.lender_slots.clear();
+        for (i, &(l, _)) in entry.remote.iter().enumerate() {
+            self.lender_slots.insert(l, i);
+        }
         for &(lender, mb) in add_remote {
-            if let Some(slot) = entry.remote.iter_mut().find(|(l, _)| *l == lender) {
-                slot.1 = mb_add(slot.1, mb);
-            } else {
-                entry.remote.push((lender, mb));
+            match self.lender_slots.get(lender) {
+                Some(slot) => entry.remote[slot].1 = mb_add(entry.remote[slot].1, mb),
+                None => {
+                    self.lender_slots.insert(lender, entry.remote.len());
+                    entry.remote.push((lender, mb));
+                }
             }
         }
         self.bump_alloc_version(job);
         self.refresh_demand(job, bandwidth_gbs);
         self.debug_check();
-    }
-
-    /// Recompute the job's bandwidth contributions to its lenders from its
-    /// current allocation. Contribution to lender `L` is
-    /// `bandwidth × (mb on L) / (total mb)` summed over compute nodes —
-    /// the slice-weighted share of the job's traffic that crosses `L`'s
-    /// link.
-    pub(super) fn refresh_demand(&mut self, job: JobId, bandwidth_gbs: f64) {
-        if let Some(old) = self.demand_contribs.remove(&job) {
-            for (lender, gbs) in old {
-                let n = &mut self.nodes[lender.0 as usize];
-                n.remote_demand_gbs = (n.remote_demand_gbs - gbs).max(0.0);
-            }
-        }
-        let alloc = &self.allocs[&job];
-        let total = alloc.total_mb();
-        if total == 0 {
-            return;
-        }
-        let mut contribs: Vec<(NodeId, f64)> = Vec::new();
-        for e in &alloc.entries {
-            for &(lender, mb) in &e.remote {
-                let gbs = bandwidth_gbs * mb as f64 / total as f64;
-                if let Some(slot) = contribs.iter_mut().find(|(l, _)| *l == lender) {
-                    slot.1 += gbs;
-                } else {
-                    contribs.push((lender, gbs));
-                }
-            }
-        }
-        for &(lender, gbs) in &contribs {
-            self.nodes[lender.0 as usize].remote_demand_gbs += gbs;
-        }
-        if !contribs.is_empty() {
-            self.demand_contribs.insert(job, contribs);
-        }
     }
 }

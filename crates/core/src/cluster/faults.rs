@@ -129,12 +129,7 @@ impl Cluster {
                     self.total_cross_mb = mb_sub(self.total_cross_mb, mb);
                 }
             }
-            if let Some(bs) = self.borrowers.get_mut(&lender) {
-                bs.retain(|&j| j != job);
-                if bs.is_empty() {
-                    self.borrowers.remove(&lender);
-                }
-            }
+            self.unlink_borrower(lender, job);
         }
         self.allocs.insert(job, alloc);
         self.bump_alloc_version(job);

@@ -128,6 +128,9 @@ impl Cluster {
                 self.total_cross_mb
             ));
         }
+        // The contention ledger must match a rebuild from the
+        // per-job contributions, which must match the allocations.
+        self.check_demand()?;
         // The incremental indexes must match a from-scratch rebuild.
         let mut sched_expected: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
         let mut free_expected: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();

@@ -21,6 +21,10 @@
 //! * `node` — node-level types ([`NodeId`], [`MemoryMix`], [`Node`]);
 //! * `alloc` — the allocation ledger ([`JobAlloc`], [`AllocEntry`])
 //!   and the start/finish/shrink/grow mutations;
+//! * `demand` — the contention ledger: per-job bandwidth contributions
+//!   to each lender, the hottest-lender read, the borrower index upkeep
+//!   and its audit, all linear in a job's remote slices through one
+//!   dense node→slot map;
 //! * `indexes` — the incremental free-memory indexes and the
 //!   invariant audit. To keep the scheduler hot path free of O(N)
 //!   scans, the cluster maintains two persistent indexes updated
@@ -40,6 +44,7 @@
 //!   machinery, so the pre-topology hot path is untouched.
 
 mod alloc;
+mod demand;
 mod faults;
 mod indexes;
 mod node;
@@ -52,6 +57,7 @@ pub use node::{MemoryMix, Node, NodeId};
 pub use topology::{Topology, TopologyInfo, TopologySpec, CROSS_RACK_WEIGHT};
 
 use crate::job::JobId;
+use demand::LenderSlots;
 use indexes::{index_insert, index_remove};
 use std::collections::{BTreeMap, HashMap};
 
@@ -62,8 +68,10 @@ pub struct Cluster {
     nodes: Vec<Node>,
     lend_cap_fraction: f64,
     allocs: HashMap<JobId, JobAlloc>,
-    /// Per-job remote bandwidth contributions: `(lender, gbs)` pairs,
-    /// mirrored into `Node::remote_demand_gbs`.
+    /// Per-job remote bandwidth contributions: `(lender, gbs)` pairs in
+    /// first-appearance order (so also the job's distinct-lender set),
+    /// mirrored into `Node::remote_demand_gbs`. Fully local jobs have
+    /// no entry.
     demand_contribs: HashMap<JobId, Vec<(NodeId, f64)>>,
     /// Reverse index: which jobs borrow from each lender.
     borrowers: HashMap<NodeId, Vec<JobId>>,
@@ -110,10 +118,11 @@ pub struct Cluster {
     /// a map: the fast path reads this on every memory update, and an
     /// indexed load beats hashing the id.
     alloc_versions: Vec<u64>,
+    /// The one dense node→slot map behind every lender dedup.
+    lender_slots: LenderSlots,
     /// Reusable buffers for mutation internals (per-lender aggregation,
-    /// lender-set snapshots); kept here so the hot path never allocates.
-    scratch_per_lender: Vec<(NodeId, u64)>,
-    scratch_lenders: Vec<NodeId>,
+    /// touched-lender sets); kept here so the hot path never allocates.
+    scratch_per_lender: Vec<(NodeId, u64, u64)>,
     scratch_touched: Vec<NodeId>,
 }
 
@@ -146,7 +155,8 @@ impl Cluster {
                 down: false,
                 degraded_mb: 0,
             })
-            .collect();
+            .collect::<Vec<Node>>();
+        let lender_slots = LenderSlots::new(nodes.len());
         // Rack indexes exist only when there is more than one rack:
         // with a single rack (flat included) the global lender pool is
         // already the rack's pool.
@@ -175,8 +185,8 @@ impl Cluster {
             schedulable_count: 0,
             alloc_clock: 0,
             alloc_versions: Vec::new(),
+            lender_slots,
             scratch_per_lender: Vec::new(),
-            scratch_lenders: Vec::new(),
             scratch_touched: Vec::new(),
         };
         // Every node starts idle with its full capacity free.
@@ -401,18 +411,6 @@ impl Cluster {
             .get(&lender)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Maximum remote-bandwidth demand across the lenders of `job`'s
-    /// allocation, GB/s. Zero for fully local jobs.
-    pub fn hottest_lender_demand_gbs(&self, job: JobId) -> f64 {
-        let Some(alloc) = self.allocs.get(&job) else {
-            return 0.0;
-        };
-        alloc
-            .lenders()
-            .map(|l| self.node(l).remote_demand_gbs)
-            .fold(0.0, f64::max)
     }
 
     /// The fabric partition this cluster was built on.

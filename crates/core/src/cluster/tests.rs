@@ -1,4 +1,5 @@
 use super::*;
+use crate::error::CoreError;
 use crate::job::JobId;
 
 fn cluster4() -> Cluster {
@@ -365,4 +366,100 @@ fn two_borrowers_share_lender_demand() {
     c.finish_job(JobId(1));
     assert!(c.node(NodeId(2)).remote_demand_gbs.abs() < 1e-9);
     assert!((c.node(NodeId(3)).remote_demand_gbs - 2.0).abs() < 1e-9);
+}
+
+#[test]
+fn skewed_demand_ledger_is_a_typed_ledger_error() {
+    let mut c = cluster4();
+    let alloc = JobAlloc {
+        entries: vec![AllocEntry {
+            node: NodeId(0),
+            local_mb: 500,
+            remote: vec![(NodeId(2), 300), (NodeId(3), 200)],
+        }],
+    };
+    c.start_job(JobId(1), alloc, 10.0);
+    assert_eq!(c.check_invariants(), Ok(()));
+    // Drift below the tolerance is accepted …
+    c.nodes[2].remote_demand_gbs += 1e-12;
+    assert_eq!(c.check_invariants(), Ok(()));
+    // … a lost contribution is not.
+    c.nodes[2].remote_demand_gbs += 0.5;
+    let err = c.check_invariants().unwrap_err();
+    assert!(matches!(err, CoreError::Ledger(_)), "{err:?}");
+    assert!(err.to_string().contains("demand ledger"), "{err}");
+}
+
+#[test]
+fn contribution_order_mismatch_is_a_ledger_error() {
+    let mut c = cluster4();
+    let alloc = JobAlloc {
+        entries: vec![AllocEntry {
+            node: NodeId(0),
+            local_mb: 500,
+            remote: vec![(NodeId(2), 300), (NodeId(3), 200)],
+        }],
+    };
+    c.start_job(JobId(1), alloc, 10.0);
+    let mut lenders = Vec::new();
+    c.lenders_into(JobId(1), &mut lenders);
+    assert_eq!(lenders, vec![NodeId(2), NodeId(3)]);
+    // Same lenders, wrong order: the hottest-lender read relies on the
+    // contribution list mirroring the allocation's first appearances.
+    c.demand_contribs.get_mut(&JobId(1)).unwrap().reverse();
+    let err = c.check_invariants().unwrap_err();
+    assert!(matches!(err, CoreError::Ledger(_)), "{err:?}");
+}
+
+#[test]
+fn lender_sets_are_first_appearance_across_entries() {
+    let mut c = Cluster::new(vec![1000; 6], 0.5);
+    let alloc = JobAlloc {
+        entries: vec![
+            AllocEntry {
+                node: NodeId(0),
+                local_mb: 600,
+                remote: vec![(NodeId(4), 100), (NodeId(2), 100)],
+            },
+            AllocEntry {
+                node: NodeId(1),
+                local_mb: 600,
+                remote: vec![(NodeId(2), 100), (NodeId(5), 100), (NodeId(4), 50)],
+            },
+        ],
+    };
+    c.start_job(JobId(3), alloc, 8.0);
+    let mut lenders = Vec::new();
+    c.lenders_into(JobId(3), &mut lenders);
+    assert_eq!(lenders, vec![NodeId(4), NodeId(2), NodeId(5)]);
+    // A grow that adds a new lender and tops up an old one.
+    c.grow_entry(
+        JobId(3),
+        NodeId(0),
+        0,
+        &[(NodeId(3), 10), (NodeId(4), 10)],
+        8.0,
+    );
+    c.lenders_into(JobId(3), &mut lenders);
+    assert_eq!(lenders, vec![NodeId(4), NodeId(2), NodeId(3), NodeId(5)]);
+    assert_eq!(c.borrowers_of(NodeId(3)), &[JobId(3)]);
+    let e0 = &c.alloc_of(JobId(3)).unwrap().entries[0];
+    assert_eq!(
+        e0.remote,
+        vec![(NodeId(4), 110), (NodeId(2), 100), (NodeId(3), 10)]
+    );
+    // The union keeps the snapshot's order and appends what is new.
+    let mut union = vec![NodeId(5), NodeId(1)];
+    c.union_lenders_into(JobId(3), &mut union);
+    assert_eq!(
+        union,
+        vec![NodeId(5), NodeId(1), NodeId(4), NodeId(2), NodeId(3)]
+    );
+    // Shrinking to local drops every lender and its borrower entry.
+    c.shrink_job(JobId(3), 600, 8.0);
+    c.lenders_into(JobId(3), &mut lenders);
+    assert!(lenders.is_empty());
+    assert!(c.borrowers_of(NodeId(4)).is_empty());
+    assert_eq!(c.hottest_lender_demand_gbs(JobId(3)), 0.0);
+    assert_eq!(c.check_invariants(), Ok(()));
 }

@@ -133,8 +133,11 @@ impl PartialOrd for Event {
 /// [`should_compact`](Self::should_compact) trips, a single
 /// [`compact`](Self::compact) sweep rebuilds the heap from the live
 /// events. Surviving events keep their original `(time, seq)` keys, so
-/// compaction never changes pop order — it is invisible to the
-/// simulation outcome.
+/// compaction never changes the pop order of live events. It is *not*
+/// invisible to the outcome: the runner advances its utilisation
+/// integrals on every pop, stale ones included, before it discards
+/// them, so which stale events still pop (and when) splits those
+/// integrals differently and moves their last bits.
 #[derive(Clone, Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<Event>>,

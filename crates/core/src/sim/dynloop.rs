@@ -216,9 +216,9 @@ impl Runner {
         }
         let bw = self.workload.pool.get(job.profile).bandwidth_gbs;
 
-        let alloc = self.cluster.alloc_of(jid).expect("running job has alloc");
         let mut lenders_before = std::mem::take(&mut self.scratch.lenders);
-        alloc.lenders_into(&mut lenders_before);
+        self.cluster.lenders_into(jid, &mut lenders_before);
+        let alloc = self.cluster.alloc_of(jid).expect("running job has alloc");
         let mut entries = std::mem::take(&mut self.scratch.entries);
         entries.clear();
         entries.extend(alloc.entries.iter().map(|e| (e.node, e.total_mb())));
@@ -298,17 +298,7 @@ impl Runner {
         }
         if changed {
             self.change_counter += 1;
-            let mut after = std::mem::take(&mut self.scratch.touched);
-            self.cluster
-                .alloc_of(jid)
-                .expect("alloc")
-                .lenders_into(&mut after);
-            for &l in &after {
-                if !lenders_before.contains(&l) {
-                    lenders_before.push(l);
-                }
-            }
-            self.scratch.touched = after;
+            self.cluster.union_lenders_into(jid, &mut lenders_before);
             self.refresh_speeds(jid, &lenders_before);
             self.ensure_tick();
         }

@@ -21,9 +21,9 @@ impl Runner {
         let span = self.phase_start();
         self.advance_work(jid);
         self.stats.fault_job_kills += 1;
-        let alloc = self.cluster.finish_job(jid);
         let mut lenders = std::mem::take(&mut self.scratch.lenders);
-        alloc.lenders_into(&mut lenders);
+        self.cluster.lenders_into(jid, &mut lenders);
+        self.cluster.finish_job(jid);
         self.running.retain(|&r| r != jid);
         let cap = self.max_restarts;
         let restart = self.cfg.restart;
@@ -94,9 +94,9 @@ impl Runner {
         if self.st[jid.0 as usize].restarts == 0 {
             self.stats.jobs_oom_killed += 1;
         }
-        let alloc = self.cluster.finish_job(jid);
         let mut lenders = std::mem::take(&mut self.scratch.lenders);
-        alloc.lenders_into(&mut lenders);
+        self.cluster.lenders_into(jid, &mut lenders);
+        self.cluster.finish_job(jid);
         self.running.retain(|&r| r != jid);
         let cap = self.max_restarts;
         let restart = self.cfg.restart;
@@ -154,9 +154,9 @@ impl Runner {
     /// Static/baseline kill for exceeding the request: permanent failure.
     pub(crate) fn kill_job(&mut self, jid: JobId, reason: FailReason) {
         let span = self.phase_start();
-        let alloc = self.cluster.finish_job(jid);
         let mut lenders = std::mem::take(&mut self.scratch.lenders);
-        alloc.lenders_into(&mut lenders);
+        self.cluster.lenders_into(jid, &mut lenders);
+        self.cluster.finish_job(jid);
         self.running.retain(|&r| r != jid);
         let s = &mut self.st[jid.0 as usize];
         s.life_epoch += 1;

@@ -187,10 +187,7 @@ impl Runner {
             self.scratch.compute_ids = compute_ids;
             if ok {
                 let mut lenders = std::mem::take(&mut self.scratch.lenders);
-                self.cluster
-                    .alloc_of(jid)
-                    .expect("alloc")
-                    .lenders_into(&mut lenders);
+                self.cluster.lenders_into(jid, &mut lenders);
                 if !lenders.contains(&eased) {
                     lenders.push(eased);
                 }

@@ -448,8 +448,11 @@ impl Runner {
     /// Rebuild the event heap without stale entries once lazy deletion
     /// has let them outnumber live ones (see
     /// [`EventQueue::should_compact`]). Survivors keep their
-    /// `(time, seq)` keys, so this never changes the pop order or the
-    /// simulation outcome — it only bounds heap growth.
+    /// `(time, seq)` keys, so the pop order of live events is unchanged.
+    /// The outcome can still move in its last bits: [`Self::run`]
+    /// advances the utilisation integrals on every pop before the stale
+    /// check, so the stale events compaction removes no longer split
+    /// those integrals.
     fn compact_events(&mut self) {
         let st = &self.st;
         self.queue.compact(|e| match e.kind {
@@ -537,9 +540,9 @@ impl Runner {
             }
         }
         self.advance_work(jid);
-        let alloc = self.cluster.finish_job(jid);
         let mut lenders = std::mem::take(&mut self.scratch.lenders);
-        alloc.lenders_into(&mut lenders);
+        self.cluster.lenders_into(jid, &mut lenders);
+        self.cluster.finish_job(jid);
         self.running.retain(|&r| r != jid);
         let job_submit = self.job(jid).submit_s;
         let base = self.job(jid).base_runtime_s;

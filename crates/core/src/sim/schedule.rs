@@ -32,10 +32,11 @@ pub(crate) struct SchedScratch {
     pub(crate) lenders: Vec<NodeId>,
     /// Jobs whose speed needs recomputing after a ledger change.
     pub(crate) affected: Vec<JobId>,
+    /// Per-job membership flags for `affected`, indexed by job id and
+    /// all `false` between uses.
+    pub(crate) affected_mark: Vec<bool>,
     /// Snapshot of one lender's borrower list.
     pub(crate) borrowers: Vec<JobId>,
-    /// Lender set after a dynamic resize (merged into `lenders`).
-    pub(crate) touched: Vec<NodeId>,
     /// Per-entry `(node, total_mb)` view for the Decider.
     pub(crate) entries: Vec<(NodeId, u64)>,
     /// Compute nodes of the job being resized.
@@ -191,10 +192,10 @@ impl Runner {
     /// recorded so management-mode checks can tell an undersized
     /// attempt from a right-sized one.
     pub(crate) fn start_job(&mut self, jid: JobId, alloc: crate::cluster::JobAlloc, sized_mb: u64) {
-        let mut lenders = std::mem::take(&mut self.scratch.lenders);
-        alloc.lenders_into(&mut lenders);
         let bw = self.workload.pool.get(self.job(jid).profile).bandwidth_gbs;
         self.cluster.start_job(jid, alloc, bw);
+        let mut lenders = std::mem::take(&mut self.scratch.lenders);
+        self.cluster.lenders_into(jid, &mut lenders);
         let s = &mut self.st[jid.0 as usize];
         s.status = Status::Running;
         s.sized_mb = sized_mb;
@@ -261,15 +262,23 @@ impl Runner {
     /// any of `touched_lenders`, re-keying their end events.
     pub(crate) fn refresh_speeds(&mut self, jid: JobId, touched_lenders: &[NodeId]) {
         let mut affected = std::mem::take(&mut self.scratch.affected);
+        let mut mark = std::mem::take(&mut self.scratch.affected_mark);
+        mark.resize(self.st.len(), false);
         affected.clear();
         affected.push(jid);
+        mark[jid.0 as usize] = true;
         for &l in touched_lenders {
             for &b in self.cluster.borrowers_of(l) {
-                if !affected.contains(&b) {
+                if !mark[b.0 as usize] {
+                    mark[b.0 as usize] = true;
                     affected.push(b);
                 }
             }
         }
+        for &a in &affected {
+            mark[a.0 as usize] = false;
+        }
+        self.scratch.affected_mark = mark;
         for &a in &affected {
             self.update_speed(a);
         }

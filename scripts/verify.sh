@@ -17,6 +17,10 @@ cargo test -q
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== claims gate (the paper's headline claims must hold) =="
+# Exits non-zero when any claim fails, which fails this script.
+./target/release/dmhpc validate --scale small
+
 echo "== fault-injection test group =="
 cargo test -q --test fault_injection --test determinism_golden
 

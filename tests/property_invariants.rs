@@ -1,15 +1,63 @@
 //! Property-based tests on core invariants (proptest).
 
-use dmhpc::core::cluster::{Cluster, MemoryMix};
+use dmhpc::core::cluster::{AllocEntry, Cluster, JobAlloc, MemoryMix, NodeId};
 use dmhpc::core::config::SystemConfig;
 use dmhpc::core::job::{JobId, MemoryUsageTrace};
 use dmhpc::core::policy::{plan_growth, try_place, PolicyKind};
 use dmhpc::core::sim::{Simulation, Workload};
 use dmhpc::metrics::ecdf::Ecdf;
 use dmhpc::metrics::summary::binned_percentages;
+use dmhpc::model::rng::Rng64;
 use dmhpc::model::{ProfilePool, SensitivityCurve};
 use dmhpc::traces::rdp::{max_polyline_error, rdp};
 use proptest::prelude::*;
+
+/// The allocation's distinct lenders in first-appearance order, by the
+/// obvious quadratic scan: the oracle for the cluster's linear ledger.
+fn naive_lenders(alloc: &JobAlloc) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = Vec::new();
+    for e in &alloc.entries {
+        for &(l, _) in &e.remote {
+            if !out.contains(&l) {
+                out.push(l);
+            }
+        }
+    }
+    out
+}
+
+/// Pick `k` distinct slices of `pool` (in random order) as borrows of
+/// 1–64 MB each, skipping `exclude`.
+fn draw_borrows(rng: &mut Rng64, pool: &[NodeId], k: usize, exclude: NodeId) -> Vec<(NodeId, u64)> {
+    let mut picks: Vec<NodeId> = pool.iter().copied().filter(|&l| l != exclude).collect();
+    rng.shuffle(&mut picks);
+    picks.truncate(k);
+    picks
+        .into_iter()
+        .map(|l| (l, rng.range_u64(1, 64)))
+        .collect()
+}
+
+/// Check the linear lender reads of every placed job against the naive
+/// dedup of its allocation: `lenders_into` order and the bits of
+/// `hottest_lender_demand_gbs`.
+fn check_lender_reads(cluster: &Cluster, placed: &[(JobId, Vec<NodeId>)]) -> Result<(), String> {
+    let mut got = Vec::new();
+    for (id, _) in placed {
+        let naive = naive_lenders(cluster.alloc_of(*id).unwrap());
+        cluster.lenders_into(*id, &mut got);
+        prop_assert_eq!(&got, &naive);
+        let hottest = naive
+            .iter()
+            .map(|&l| cluster.node(l).remote_demand_gbs)
+            .fold(0.0, f64::max);
+        prop_assert_eq!(
+            cluster.hottest_lender_demand_gbs(*id).to_bits(),
+            hottest.to_bits()
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     /// RDP keeps endpoints, returns a subsequence, and respects the
@@ -202,6 +250,85 @@ proptest! {
         // time travel).
         for rt in &out.response_times_s {
             prop_assert!(*rt >= 200.0 - 1e-6);
+        }
+    }
+
+    /// Random start/grow/shrink/revoke/finish sequences with up to 64
+    /// lenders per job keep the linear lender reads equal to a naive
+    /// first-appearance dedup, bit for bit, and the ledger audit clean.
+    #[test]
+    fn lender_reads_match_naive_dedup(seed in 0u64..1_000_000, n_ops in 1usize..60) {
+        const NODES: u32 = 96;
+        let mut rng = Rng64::new(seed);
+        let mut cluster = Cluster::new(vec![100_000; NODES as usize], 0.5);
+        // Each placed job borrows only from its own pool of ≤ 64 lenders.
+        let mut placed: Vec<(JobId, Vec<NodeId>)> = Vec::new();
+        let mut next_id = 0u32;
+        for _ in 0..n_ops {
+            let bw = rng.range_f64(0.5, 40.0);
+            match rng.below(6) {
+                0 | 1 => {
+                    let mut idle: Vec<NodeId> = (0..NODES)
+                        .map(NodeId)
+                        .filter(|&n| cluster.node(n).running.is_none())
+                        .collect();
+                    rng.shuffle(&mut idle);
+                    idle.truncate(rng.range_u64(1, 3) as usize);
+                    if idle.is_empty() {
+                        continue;
+                    }
+                    let mut pool: Vec<NodeId> = (0..NODES).map(NodeId).collect();
+                    rng.shuffle(&mut pool);
+                    pool.truncate(rng.range_u64(0, 64) as usize);
+                    let entries = idle
+                        .iter()
+                        .map(|&node| {
+                            let k = rng.range_u64(0, pool.len() as u64) as usize;
+                            AllocEntry {
+                                node,
+                                local_mb: rng.range_u64(0, 4096),
+                                remote: draw_borrows(&mut rng, &pool, k, node),
+                            }
+                        })
+                        .collect();
+                    let id = JobId(next_id);
+                    next_id += 1;
+                    cluster.start_job(id, JobAlloc { entries }, bw);
+                    placed.push((id, pool));
+                }
+                2 if !placed.is_empty() => {
+                    let (id, pool) = &placed[rng.below(placed.len() as u64) as usize];
+                    let entries = &cluster.alloc_of(*id).unwrap().entries;
+                    let node = entries[rng.below(entries.len() as u64) as usize].node;
+                    let k = rng.range_u64(0, 8) as usize;
+                    let mut borrows = draw_borrows(&mut rng, pool, k, node);
+                    // A lender may repeat within one grow; it merges.
+                    if !borrows.is_empty() && rng.chance(0.3) {
+                        borrows.push(borrows[0]);
+                    }
+                    let local = rng.range_u64(0, 256);
+                    cluster.grow_entry(*id, node, local, &borrows, bw);
+                }
+                3 if !placed.is_empty() => {
+                    let (id, _) = &placed[rng.below(placed.len() as u64) as usize];
+                    cluster.shrink_job(*id, rng.range_u64(0, 6000), bw);
+                }
+                4 if !placed.is_empty() => {
+                    let (id, pool) = &placed[rng.below(placed.len() as u64) as usize];
+                    if !pool.is_empty() {
+                        let lender = pool[rng.below(pool.len() as u64) as usize];
+                        cluster.revoke_lender(*id, lender, bw);
+                    }
+                }
+                _ if !placed.is_empty() => {
+                    let i = rng.below(placed.len() as u64) as usize;
+                    let (id, _) = placed.swap_remove(i);
+                    cluster.finish_job(id);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(cluster.check_invariants(), Ok(()));
+            check_lender_reads(&cluster, &placed)?;
         }
     }
 }
