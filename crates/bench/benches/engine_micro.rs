@@ -3,7 +3,7 @@
 //! kernels.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use dmhpc_core::cluster::{AllocEntry, Cluster, JobAlloc, MemoryMix, NodeId};
+use dmhpc_core::cluster::{AllocEntry, Cluster, JobAlloc, MemoryMix, NodeId, TopologySpec};
 use dmhpc_core::config::SystemConfig;
 use dmhpc_core::engine::{EventKind, EventQueue, SimTime};
 use dmhpc_core::job::JobId;
@@ -37,8 +37,10 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
-fn busy_cluster(nodes: u32) -> Cluster {
-    let cfg = SystemConfig::with_nodes(nodes).with_memory_mix(MemoryMix::half_large());
+fn busy_cluster(nodes: u32, topology: TopologySpec) -> Cluster {
+    let cfg = SystemConfig::with_nodes(nodes)
+        .with_memory_mix(MemoryMix::half_large())
+        .with_topology(topology);
     let mut c = Cluster::from_config(&cfg);
     // Occupy 70% of nodes with 48 GB jobs.
     let mut id = 0u32;
@@ -54,7 +56,7 @@ fn busy_cluster(nodes: u32) -> Cluster {
 fn bench_placement(c: &mut Criterion) {
     let mut g = c.benchmark_group("placement");
     for &nodes in &[256u32, 1024] {
-        let cluster = busy_cluster(nodes);
+        let cluster = busy_cluster(nodes, TopologySpec::Flat);
         g.bench_function(format!("try_place_local_{nodes}"), |b| {
             b.iter(|| black_box(try_place(&cluster, PolicyKind::Static, 4, 16 * 1024)))
         });
@@ -62,6 +64,21 @@ fn bench_placement(c: &mut Criterion) {
             b.iter(|| black_box(try_place(&cluster, PolicyKind::Static, 4, 100 * 1024)))
         });
     }
+    // Grizzly scale on 32-node racks: a 128-node job asking more than
+    // any node holds walks the rack-aware lender order for every entry.
+    let racked = busy_cluster(
+        1490,
+        TopologySpec::Racks {
+            size: 32,
+            cross_cap: 1.0,
+        },
+    );
+    let (n, mb) = (128, 160 * 1024);
+    let alloc = try_place(&racked, PolicyKind::Static, n, mb).expect("the racked job fits");
+    assert!(alloc.remote_mb() > 0, "the racked job must borrow");
+    g.bench_function("try_place_racked_borrowing_1490", |b| {
+        b.iter(|| black_box(try_place(&racked, PolicyKind::Static, n, mb)))
+    });
     g.finish();
 }
 
@@ -88,7 +105,7 @@ fn bench_sched_pass(c: &mut Criterion) {
 fn bench_ledger(c: &mut Criterion) {
     let mut g = c.benchmark_group("ledger");
     g.bench_function("start_finish_roundtrip_1024", |b| {
-        let cluster = busy_cluster(1024);
+        let cluster = busy_cluster(1024, TopologySpec::Flat);
         let alloc = try_place(&cluster, PolicyKind::Static, 8, 100 * 1024).expect("fits");
         b.iter_batched(
             || cluster.clone(),

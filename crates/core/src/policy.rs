@@ -55,10 +55,16 @@ pub struct PlacementScratch {
     fit: Vec<(u64, NodeId)>,
     /// Phase-2 compute-node selection as `(free, id)`.
     compute: Vec<(u64, NodeId)>,
-    /// Racked phase-2 drain overlay as `(lender, mb already planned)`:
-    /// rack-aware lender iteration restarts per entry, so drained
-    /// amounts are tracked on the side instead of in a single stream.
-    taken: Vec<(NodeId, u64)>,
+    /// Racked phase 2: lenders this plan has drained from. Rack-aware
+    /// lender iteration restarts per entry, so drained amounts are
+    /// tracked on the side instead of in a single stream.
+    taken: Vec<NodeId>,
+    /// Racked phase 2, indexed by node id: MB this plan has drained from
+    /// each lender. Zero outside `taken`; reset through it.
+    drained: Vec<u64>,
+    /// Phase 2, indexed by node id: whether the node is one of the
+    /// plan's compute nodes. Reset through `compute`.
+    is_compute: Vec<bool>,
 }
 
 impl PlacementScratch {
@@ -268,22 +274,66 @@ pub fn place_spread_with(
         return Some(JobAlloc { entries });
     }
     entries.clear();
-    if !cluster.is_flat() {
-        return place_spread_racked(cluster, n, request_mb, scratch);
-    }
     // Phase 2: the n nodes with the most free memory become compute
-    // nodes; the rest of the free pool lends.
+    // nodes; the rest of the free pool lends. Compute membership and
+    // racked drain amounts live in dense per-node overlays, so each
+    // lender walked costs O(1); they are reset through `compute` and
+    // `taken` whichever way the plan ends.
     scratch.compute.clear();
     scratch
         .compute
         .extend(cluster.schedulable_by_free_desc().take(n));
-    let compute = &scratch.compute[..];
-    // Lenders stream straight off the free index (most free first),
-    // skipping the job's own compute nodes; `current` carries the
-    // partially drained lender across entries.
+    let PlacementScratch {
+        compute,
+        taken,
+        drained,
+        is_compute,
+        ..
+    } = scratch;
+    if is_compute.len() < cluster.len() {
+        is_compute.resize(cluster.len(), false);
+        drained.resize(cluster.len(), 0);
+    }
+    for &(_, c) in compute.iter() {
+        is_compute[c.0 as usize] = true;
+    }
+    let plan = if cluster.is_flat() {
+        plan_flat_borrows(cluster, compute, request_mb, is_compute, &mut entries)
+    } else {
+        plan_racked_borrows(
+            cluster,
+            compute,
+            request_mb,
+            taken,
+            drained,
+            is_compute,
+            &mut entries,
+        )
+    };
+    for &(_, c) in compute.iter() {
+        is_compute[c.0 as usize] = false;
+    }
+    for &t in taken.iter() {
+        drained[t.0 as usize] = 0;
+    }
+    taken.clear();
+    plan.map(|()| JobAlloc { entries })
+}
+
+/// Flat phase-2 borrows: lenders stream straight off the free index
+/// (most free first), skipping the job's own compute nodes; `current`
+/// carries the partially drained lender across entries. `None` when the
+/// pool runs dry.
+fn plan_flat_borrows(
+    cluster: &Cluster,
+    compute: &[(u64, NodeId)],
+    request_mb: u64,
+    is_compute: &[bool],
+    entries: &mut Vec<AllocEntry>,
+) -> Option<()> {
     let mut lender_iter = cluster
         .free_by_free_desc()
-        .filter(|(_, id)| !compute.iter().any(|&(_, c)| c == *id));
+        .filter(|(_, id)| !is_compute[id.0 as usize]);
     let mut current: Option<(u64, NodeId)> = None;
     for &(free, id) in compute {
         let local = free.min(request_mb);
@@ -308,31 +358,27 @@ pub fn place_spread_with(
             remote,
         });
     }
-    Some(JobAlloc { entries })
+    Some(())
 }
 
-/// Phase-2 spread placement on a racked topology. Compute nodes are
-/// still the globally most-free schedulable nodes — rack boundaries do
-/// not change where a job *runs* — but each entry's borrows walk the
-/// locality-aware lender order (own rack first, then cross-rack) and
-/// cross-rack borrowing is capped at the topology's per-plan budget.
-/// Because the lender order restarts per entry, drained amounts are
-/// tracked in the `scratch.taken` overlay rather than a single
-/// partially-consumed stream.
-fn place_spread_racked(
+/// Racked phase-2 borrows. Compute nodes are still the globally
+/// most-free schedulable nodes — rack boundaries do not change where a
+/// job *runs* — but each entry's borrows walk the locality-aware lender
+/// order (own rack first, then cross-rack) and cross-rack borrowing is
+/// capped at the topology's per-plan budget. Because the lender order
+/// restarts per entry, the MB already planned from each lender is kept
+/// in `drained` (its lenders listed in `taken`) rather than in a single
+/// partially-consumed stream. `None` when the pool or the cross-rack
+/// budget runs dry.
+fn plan_racked_borrows(
     cluster: &Cluster,
-    n: usize,
+    compute: &[(u64, NodeId)],
     request_mb: u64,
-    scratch: &mut PlacementScratch,
-) -> Option<JobAlloc> {
-    scratch.compute.clear();
-    scratch
-        .compute
-        .extend(cluster.schedulable_by_free_desc().take(n));
-    scratch.taken.clear();
-    let PlacementScratch { compute, taken, .. } = scratch;
-    let compute = &compute[..];
-    let mut entries = Vec::with_capacity(n);
+    taken: &mut Vec<NodeId>,
+    drained: &mut [u64],
+    is_compute: &[bool],
+    entries: &mut Vec<AllocEntry>,
+) -> Option<()> {
     for &(free, id) in compute {
         let local = free.min(request_mb);
         let mut need = request_mb - local;
@@ -342,14 +388,11 @@ fn place_spread_racked(
             if need == 0 {
                 break;
             }
-            if compute.iter().any(|&(_, c)| c == lid) {
+            let l = lid.0 as usize;
+            if is_compute[l] {
                 continue;
             }
-            let already = taken
-                .iter()
-                .find(|&&(t, _)| t == lid)
-                .map_or(0, |&(_, a)| a);
-            let avail = lfree - already;
+            let avail = lfree - drained[l];
             let is_cross = cluster.is_cross(id, lid);
             let take = if is_cross {
                 avail.min(need).min(cross_budget)
@@ -364,10 +407,10 @@ fn place_spread_racked(
             if is_cross {
                 cross_budget -= take;
             }
-            match taken.iter_mut().find(|&&mut (t, _)| t == lid) {
-                Some(slot) => slot.1 += take,
-                None => taken.push((lid, take)),
+            if drained[l] == 0 {
+                taken.push(lid);
             }
+            drained[l] += take;
         }
         if need > 0 {
             return None; // pool (or cross-rack budget) exhausted
@@ -378,7 +421,7 @@ fn place_spread_racked(
             remote,
         });
     }
-    Some(JobAlloc { entries })
+    Some(())
 }
 
 /// The original full-scan placement: collects and sorts the schedulable
@@ -524,8 +567,8 @@ pub fn place_spread_reference(cluster: &Cluster, nodes: u32, request_mb: u64) ->
     Some(JobAlloc { entries })
 }
 
-/// Full-scan twin of [`place_spread_racked`], kept as the equivalence
-/// oracle: the lender pool is re-sorted per entry by
+/// Full-scan twin of the racked phase 2 of [`place_spread_with`], kept
+/// as the equivalence oracle: the lender pool is re-sorted per entry by
 /// `(cross-rack?, free desc, id asc)` with original free-memory keys,
 /// and drained amounts live in a side overlay exactly like the indexed
 /// implementation.

@@ -71,10 +71,11 @@ impl Runner {
         let mut started = std::mem::take(&mut self.scratch.started);
         started.clear();
         // Dominance pruning: placement failure at a *fixed* cluster state
-        // is monotone in (nodes, mem) — the policy's feasibility
+        // is monotone in (nodes, mem) — on flat clusters the feasibility
         // condition is `Σ max(mem, free_i) ≤ total free` over the top-n
-        // schedulable nodes, nondecreasing in both arguments — so a
-        // candidate needing at least as much of both as an
+        // schedulable nodes, nondecreasing in both arguments, and the
+        // `placement_failure_is_monotone` property test checks racks
+        // too — so a candidate needing at least as much of both as an
         // already-failed request is skipped without a placement attempt.
         // Starting a job does NOT merely tighten that condition (a busy
         // node's leftover memory joins the lender pool, which can make a
@@ -108,6 +109,20 @@ impl Runner {
                         break;
                     }
                     let Some(r) = res else { break };
+                    // Reservation first: whether the head's reservation
+                    // admits this candidate depends only on its shape and
+                    // time limit, never on the allocation, so a candidate
+                    // it rejects is skipped before any placement work.
+                    // Exact: a skipped candidate would not have started,
+                    // and it only leaves `failed` smaller, which changes
+                    // which later candidates are tried (pruning skips
+                    // only certain failures), never which ones start.
+                    let ends_before = self.now.as_secs() + time_limit_s <= r.at_s;
+                    let total_req = nodes as u64 * req;
+                    let within_surplus = nodes <= r.surplus_nodes && total_req <= r.surplus_mem_mb;
+                    if !ends_before && !within_surplus {
+                        continue;
+                    }
                     if failed.iter().any(|&(fn_, fm)| nodes >= fn_ && req >= fm) {
                         continue; // dominated by a fresher failure
                     }
@@ -115,22 +130,15 @@ impl Runner {
                         failed.push((nodes, req));
                         continue;
                     };
-                    let ends_before = self.now.as_secs() + time_limit_s <= r.at_s;
-                    let total_req = nodes as u64 * req;
-                    let within_surplus = nodes <= r.surplus_nodes && total_req <= r.surplus_mem_mb;
-                    if ends_before {
-                        self.start_job(jid, alloc, req);
-                        started.push(jid);
-                        failed.clear();
-                    } else if within_surplus {
+                    if !ends_before {
                         // Consumes part of the projected surplus at the
                         // reservation time.
                         r.surplus_nodes -= nodes;
                         r.surplus_mem_mb -= total_req;
-                        self.start_job(jid, alloc, req);
-                        started.push(jid);
-                        failed.clear();
                     }
+                    self.start_job(jid, alloc, req);
+                    started.push(jid);
+                    failed.clear();
                 }
             }
         }

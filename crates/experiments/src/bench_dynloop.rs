@@ -305,72 +305,66 @@ pub fn run(cfg: DynloopLegConfig, threads: usize) -> Result<BenchDynloopReport, 
     })
 }
 
-/// Splice `section` (a rendered JSON object) into `existing` as the
-/// top-level key `key`, replacing any previous value of that key and
-/// leaving every other key untouched. `existing` must be one of the
-/// benchmark files this crate writes itself: a `{...}\n` object whose
-/// strings never contain braces. When `existing` is `None` (file not
-/// present) the result is an object holding only `key`.
-pub fn splice_section(existing: Option<&str>, key: &str, section: &str) -> String {
-    let base = match existing {
-        None => String::from("{\n}"),
-        Some(text) => remove_key(text, key),
-    };
-    let trimmed = base.trim_end();
-    let body = trimmed
-        .strip_suffix('}')
-        .expect("benchmark JSON ends with '}'")
-        .trim_end();
-    let sep = if body.ends_with('{') { "\n" } else { ",\n" };
-    format!("{body}{sep}  \"{key}\": {section}\n}}\n")
+/// Splice each `(key, value)` of `sections` (rendered JSON values) into
+/// `existing` as a top-level key: a key already present keeps its place
+/// and takes the new value, a new key is appended, and every other key
+/// is left untouched. `existing` must be one of the benchmark files
+/// this crate's commands write (`bench-sched` and `bench-dynloop` share
+/// `BENCH_sched.json`, each owning its own keys). When `existing` is
+/// `None` (file not present) the result holds only `sections`.
+pub fn splice_sections(existing: Option<&str>, sections: &[(&str, String)]) -> String {
+    let mut text = existing.unwrap_or("{\n}").to_string();
+    for (key, value) in sections {
+        text = match top_level_value(&text, key) {
+            Some((start, end)) => format!("{}{value}{}", &text[..start], &text[end..]),
+            None => {
+                let body = text
+                    .trim_end()
+                    .strip_suffix('}')
+                    .expect("benchmark JSON ends with '}'")
+                    .trim_end();
+                let sep = if body.ends_with('{') { "\n" } else { ",\n" };
+                format!("{body}{sep}  \"{key}\": {value}\n}}\n")
+            }
+        };
+    }
+    text
 }
 
-/// Drop the top-level `key` (and its object value) from `text`. Brace
-/// counting, not a JSON parser — sufficient because the inputs are the
-/// benchmark files this crate writes, whose strings contain no braces.
-fn remove_key(text: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let Some(start) = text.find(&needle) else {
-        return text.to_string();
-    };
-    let open = match text[start..].find('{') {
-        Some(rel) => start + rel,
-        None => return text.to_string(),
-    };
+/// Byte range of the value of the top-level `key` of the JSON object
+/// `text`. Tracks strings and nesting, so a nested key of the same name
+/// (both sections of `BENCH_sched.json` hold an `acceptance`) never
+/// matches.
+fn top_level_value(text: &str, key: &str) -> Option<(usize, usize)> {
+    let b = text.as_bytes();
     let mut depth = 0usize;
-    let mut close = None;
-    for (i, b) in text[open..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    close = Some(open + i);
-                    break;
+    let mut value_start = None;
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b'"' => {
+                let open = i + 1;
+                i = open;
+                while i < b.len() && b[i] != b'"' {
+                    i += if b[i] == b'\\' { 2 } else { 1 };
+                }
+                if depth == 1 && value_start.is_none() && text.get(open..i) == Some(key) {
+                    let rest = text.get(i + 1..).unwrap_or("");
+                    if let Some(v) = rest.trim_start().strip_prefix(':') {
+                        value_start = Some(text.len() - v.trim_start().len());
+                    }
                 }
             }
+            b'{' | b'[' => depth += 1,
+            b',' | b'}' | b']' if depth == 1 && value_start.is_some() => {
+                return value_start.map(|s| (s, text[..i].trim_end().len()));
+            }
+            b'}' | b']' => depth = depth.saturating_sub(1),
             _ => {}
         }
+        i += 1;
     }
-    let Some(close) = close else {
-        return text.to_string();
-    };
-    // Take the separator comma with the section: the one following it,
-    // else the one preceding it (when the key was last).
-    let mut cut_start = text[..start].trim_end().len();
-    let mut cut_end = close + 1;
-    let after = &text[cut_end..];
-    let after_comma = after.trim_start().strip_prefix(',');
-    if let Some(rest) = after_comma {
-        cut_end = text.len() - rest.len();
-    } else if text[..cut_start].ends_with(',') {
-        cut_start -= 1;
-    }
-    format!(
-        "{}\n{}",
-        text[..cut_start].trim_end(),
-        text[cut_end..].trim_start()
-    )
+    None
 }
 
 #[cfg(test)]
@@ -423,21 +417,47 @@ mod tests {
         assert!(matches!(smoke.scale, Scale::Small));
     }
 
+    /// Both commands that write `BENCH_sched.json` replace only their
+    /// own keys: the `schedule_pass` keys survive `bench-dynloop`, the
+    /// `dynloop_fast_path` section survives `bench-sched`, and a nested
+    /// `acceptance` never stands in for the top-level one.
     #[test]
-    fn splice_inserts_replaces_and_preserves_other_keys() {
-        // Fresh file: just the new section.
-        let fresh = splice_section(None, "dynloop_fast_path", "{\"pass\": true}");
+    fn splice_keeps_both_bench_sched_sections() {
+        let fresh = splice_sections(None, &[("dynloop_fast_path", "{\"pass\": true}".into())]);
         assert_eq!(fresh, "{\n  \"dynloop_fast_path\": {\"pass\": true}\n}\n");
-        // Existing bench file: section appended, schedule_pass intact.
-        let sched = "{\n  \"bench\": \"schedule_pass\",\n  \"acceptance\": {\"nodes\": 1490, \"pass\": true}\n}\n";
-        let merged = splice_section(Some(sched), "dynloop_fast_path", "{\"pass\": true}");
-        assert!(merged.contains("\"bench\": \"schedule_pass\""));
-        assert!(merged.contains("\"acceptance\": {\"nodes\": 1490, \"pass\": true}"));
-        assert!(merged.contains("\"dynloop_fast_path\": {\"pass\": true}"));
-        // Re-splicing replaces the old section instead of duplicating it.
-        let again = splice_section(Some(&merged), "dynloop_fast_path", "{\"pass\": false}");
-        assert_eq!(again.matches("dynloop_fast_path").count(), 1);
-        assert!(again.contains("\"dynloop_fast_path\": {\"pass\": false}"));
-        assert!(again.contains("\"bench\": \"schedule_pass\""));
+        let committed = "{\n  \"bench\": \"schedule_pass\",\n  \"seed\": 1,\n  \"results\": [\n    {\"nodes\": 256, \"speedup\": 3.5}\n  ],\n  \"acceptance\": {\"nodes\": 1490, \"pass\": true},\n  \"dynloop_fast_path\": {\n    \"rows\": [\n      {\"policy\": \"dynamic\"}\n    ],\n    \"acceptance\": {\"policy\": \"dynamic\", \"pass\": true}\n  }\n}\n";
+        // bench-sched rewrites its keys in place.
+        let sched = splice_sections(
+            Some(committed),
+            &[
+                ("bench", "\"schedule_pass\"".into()),
+                ("seed", "7".into()),
+                (
+                    "results",
+                    "[\n    {\"nodes\": 256, \"speedup\": 4.0}\n  ]".into(),
+                ),
+                ("acceptance", "{\"nodes\": 1490, \"pass\": false}".into()),
+            ],
+        );
+        assert_eq!(
+            sched,
+            committed
+                .replace("\"seed\": 1", "\"seed\": 7")
+                .replace("3.5", "4.0")
+                .replace("1490, \"pass\": true", "1490, \"pass\": false")
+        );
+        // bench-dynloop replaces only its section.
+        let dynloop = splice_sections(
+            Some(&sched),
+            &[("dynloop_fast_path", "{\"pass\": false}".into())],
+        );
+        assert_eq!(dynloop.matches("dynloop_fast_path").count(), 1);
+        assert!(dynloop.contains("\"dynloop_fast_path\": {\"pass\": false}\n}\n"));
+        assert!(dynloop.starts_with(&sched[..sched.find("\"dynloop_fast_path\"").unwrap()]));
+        // A key new to the file is appended.
+        let added = splice_sections(Some(&dynloop), &[("trace", "{\"ratio\": 1.1}".into())]);
+        assert!(added.ends_with(
+            "\"dynloop_fast_path\": {\"pass\": false},\n  \"trace\": {\"ratio\": 1.1}\n}\n"
+        ));
     }
 }

@@ -399,9 +399,19 @@ fn cmd_bench_sched(opts: &OptMap) -> Result<(), String> {
          ({traced_ratio:.2}x the NullSink pass)"
     );
     let pass = accept_speedup >= ACCEPT_SPEEDUP;
-    let json = format!(
-        "{{\n  \"bench\": \"schedule_pass\",\n  \"queued_jobs\": {queued},\n  \"samples\": {samples},\n  \"seed\": {seed},\n  \"results\": [\n{rows}\n  ],\n  \"trace\": {{\"nodes\": {ACCEPT_NODES}, \"null_sink_ns\": {accept_indexed:.0}, \"counting_sink_ns\": {traced:.0}, \"ratio\": {traced_ratio:.3}}},\n  \"acceptance\": {{\"nodes\": {ACCEPT_NODES}, \"required_speedup\": {ACCEPT_SPEEDUP}, \"measured_speedup\": {accept_speedup:.3}, \"pass\": {pass}}}\n}}\n"
-    );
+    // Only this command's keys are rewritten: `bench-dynloop` keeps its
+    // `dynloop_fast_path` section in the same file.
+    let sections = [
+        ("bench", "\"schedule_pass\"".to_string()),
+        ("queued_jobs", queued.to_string()),
+        ("samples", samples.to_string()),
+        ("seed", seed.to_string()),
+        ("results", format!("[\n{rows}\n  ]")),
+        ("trace", format!("{{\"nodes\": {ACCEPT_NODES}, \"null_sink_ns\": {accept_indexed:.0}, \"counting_sink_ns\": {traced:.0}, \"ratio\": {traced_ratio:.3}}}")),
+        ("acceptance", format!("{{\"nodes\": {ACCEPT_NODES}, \"required_speedup\": {ACCEPT_SPEEDUP}, \"measured_speedup\": {accept_speedup:.3}, \"pass\": {pass}}}")),
+    ];
+    let existing = std::fs::read_to_string(&out).ok();
+    let json = dmhpc_experiments::bench_dynloop::splice_sections(existing.as_deref(), &sections);
     std::fs::write(&out, json).map_err(|e| format!("write {out}: {e}"))?;
     println!(
         "acceptance at {ACCEPT_NODES} nodes: {accept_speedup:.2}x (>= {ACCEPT_SPEEDUP}x required) -> {}",
@@ -650,7 +660,8 @@ fn cmd_bench_dynloop(threads: usize, opts: &OptMap) -> Result<(), Failure> {
         gate.policy,
     );
     let existing = std::fs::read_to_string(&out).ok();
-    let json = bench_dynloop::splice_section(existing.as_deref(), "dynloop_fast_path", &section);
+    let json =
+        bench_dynloop::splice_sections(existing.as_deref(), &[("dynloop_fast_path", section)]);
     std::fs::write(&out, json).map_err(|e| format!("write {out}: {e}"))?;
     if let Some(points_out) = opts.get("points-out") {
         let mut t = TextTable::new(vec![

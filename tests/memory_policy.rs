@@ -5,7 +5,7 @@
 //! policies and verify each hook is exercised and honoured.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dmhpc::core::cluster::{Cluster, JobAlloc, MemoryMix, NodeId};
 use dmhpc::core::config::SystemConfig;
@@ -26,6 +26,8 @@ struct Counters {
     management: AtomicUsize,
     decide: AtomicUsize,
     plan_growth: AtomicUsize,
+    /// Every `place` call as `(request_mb, placed?)`, in call order.
+    placements: Mutex<Vec<(u64, bool)>>,
 }
 
 /// Spread placement with managed (or pinned) allocations, counting
@@ -63,7 +65,10 @@ impl MemoryPolicy for CountingPolicy {
         scratch: &mut PlacementScratch,
     ) -> Option<JobAlloc> {
         self.counters.place.fetch_add(1, Ordering::Relaxed);
-        place_spread_with(cluster, nodes, request_mb, scratch)
+        let alloc = place_spread_with(cluster, nodes, request_mb, scratch);
+        let mut log = self.counters.placements.lock().unwrap();
+        log.push((request_mb, alloc.is_some()));
+        alloc
     }
 
     fn place_reference(&self, cluster: &Cluster, nodes: u32, request_mb: u64) -> Option<JobAlloc> {
@@ -165,6 +170,37 @@ fn job(id: u32, runtime: f64, request_mb: u64, usage: MemoryUsageTrace) -> Job {
         usage,
         profile: ProfileId(0),
     }
+}
+
+/// A rigid job of `nodes` nodes that runs exactly its time limit and
+/// uses its whole request; the request doubles as the job's tag in
+/// [`Counters::placements`].
+fn gang(id: u32, submit_s: f64, nodes: u32, limit_s: f64, request_mb: u64) -> Job {
+    Job {
+        id: JobId(id),
+        submit_s,
+        nodes,
+        base_runtime_s: limit_s,
+        time_limit_s: limit_s,
+        mem_request_mb: request_mb,
+        usage: MemoryUsageTrace::flat(request_mb),
+        profile: ProfileId(0),
+    }
+}
+
+/// Run `jobs` on four 2,000 MB nodes under a pinned counting policy and
+/// return the placement log of its scheduling passes (the set-up screen
+/// of every job on the empty cluster comes first and is dropped).
+fn placement_log(jobs: Vec<Job>) -> Vec<(u64, bool)> {
+    let screened = jobs.len();
+    let cfg = SystemConfig::with_nodes(4).with_memory_mix(MemoryMix::new(2000, 2000, 0.0));
+    let (policy, counters) = CountingPolicy::new(false);
+    let out = Simulation::from_policy(cfg, workload(jobs), Box::new(policy)).run();
+    assert_eq!(out.stats.completed, 4);
+    let log = counters.placements.lock().unwrap().clone();
+    assert_eq!(log.len(), counters.place.load(Ordering::Relaxed));
+    assert!(log[..screened].iter().all(|&(_, placed)| placed));
+    log[screened..].to_vec()
 }
 
 fn two_node_cfg() -> SystemConfig {
@@ -327,4 +363,54 @@ fn boxed_policies_clone_and_debug() {
     // Clones share the counter state (Arc), as the runner relies on.
     cloned.management(false);
     assert_eq!(counters.management.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn backfill_tests_the_reservation_before_placing() {
+    // Job 101 holds two of four nodes until t = 1000. The 4-node head
+    // 102 is blocked with a zero-node surplus, and both 1-node
+    // candidates (103, 104) would fit now but outlast the reservation:
+    // the blocked pass places only the head, never the candidates.
+    let log = placement_log(vec![
+        gang(0, 0.0, 2, 1000.0, 101),
+        gang(1, 10.0, 4, 100.0, 102),
+        gang(2, 10.0, 1, 5000.0, 103),
+        gang(3, 10.0, 1, 5000.0, 104),
+    ]);
+    assert_eq!(
+        log,
+        [
+            (101, true),
+            (102, false), // blocked pass: the head, and nothing else
+            (102, true),  // 101 ended: the head starts,
+            (103, false), // 103 becomes the blocked head; 104 fits its
+            //               surplus but is pruned as dominated by 103
+            (103, true),
+            (104, true),
+        ]
+    );
+}
+
+#[test]
+fn backfill_inside_the_surplus_starts_and_debits_it() {
+    // The 3-node head 102 leaves a one-node surplus at its reservation.
+    // Candidate 103 takes it and starts; the debited surplus then
+    // rejects 104 without a placement attempt.
+    let log = placement_log(vec![
+        gang(0, 0.0, 2, 1000.0, 101),
+        gang(1, 10.0, 3, 100.0, 102),
+        gang(2, 10.0, 1, 5000.0, 103),
+        gang(3, 10.0, 1, 5000.0, 104),
+    ]);
+    assert_eq!(
+        log,
+        [
+            (101, true),
+            (102, false),
+            (103, true),  // backfilled into the surplus; 104 is not tried
+            (102, true),  // 101 ended: the head starts beside 103,
+            (104, false), // 104 waits for a free node,
+            (104, true),
+        ]
+    );
 }

@@ -1,9 +1,11 @@
 //! Property-based tests on core invariants (proptest).
 
-use dmhpc::core::cluster::{AllocEntry, Cluster, JobAlloc, MemoryMix, NodeId};
+use dmhpc::core::cluster::{AllocEntry, Cluster, JobAlloc, MemoryMix, NodeId, TopologySpec};
 use dmhpc::core::config::SystemConfig;
 use dmhpc::core::job::{JobId, MemoryUsageTrace};
-use dmhpc::core::policy::{plan_growth, try_place, PolicyKind};
+use dmhpc::core::policy::{
+    place_exclusive_with, place_spread_with, plan_growth, try_place, PlacementScratch, PolicyKind,
+};
 use dmhpc::core::sim::{Simulation, Workload};
 use dmhpc::metrics::ecdf::Ecdf;
 use dmhpc::metrics::summary::binned_percentages;
@@ -57,6 +59,36 @@ fn check_lender_reads(cluster: &Cluster, placed: &[(JobId, Vec<NodeId>)]) -> Res
         );
     }
     Ok(())
+}
+
+/// A random busy cluster on `spec`: up to 23 nodes of 1–16 GB, some
+/// running spread-placed jobs (so some lend), some degraded, some down.
+fn random_busy_cluster(rng: &mut Rng64, spec: TopologySpec) -> Cluster {
+    let nodes = rng.range_u64(4, 23) as u32;
+    let caps = (0..nodes).map(|_| rng.range_u64(4, 64) * 256).collect();
+    let mut cluster = Cluster::new_with_topology(caps, 0.5, spec);
+    let mut scratch = PlacementScratch::new();
+    for id in 0..rng.range_u64(0, 12) as u32 {
+        let (n, mb) = (rng.range_u64(1, 3) as u32, rng.range_u64(1, 64) * 256);
+        if let Some(alloc) = place_spread_with(&cluster, n, mb, &mut scratch) {
+            cluster.start_job(JobId(id), alloc, 3.0);
+        }
+    }
+    for _ in 0..rng.range_u64(0, 3) {
+        let id = NodeId(rng.below(nodes as u64) as u32);
+        let free = cluster.node(id).free_mb();
+        if free > 0 {
+            cluster.apply_degrade(id, rng.range_u64(1, free));
+        }
+    }
+    for _ in 0..rng.range_u64(0, 2) {
+        let id = NodeId(rng.below(nodes as u64) as u32);
+        let node = cluster.node(id);
+        if node.running.is_none() && !node.down && cluster.borrowers_of(id).is_empty() {
+            cluster.set_node_down(id);
+        }
+    }
+    cluster
 }
 
 proptest! {
@@ -329,6 +361,45 @@ proptest! {
             }
             prop_assert_eq!(cluster.check_invariants(), Ok(()));
             check_lender_reads(&cluster, &placed)?;
+        }
+    }
+
+    /// Placement failure at a fixed cluster state is monotone in the
+    /// request: when `(n, m)` cannot be placed, neither can `(n + k, m)`
+    /// nor `(n, m + δ)`. The scheduler's dominance pruning and its
+    /// reservation-first backfill are exact only because of this. Checked
+    /// for spread and exclusive placement, flat and on 4-node racks with
+    /// cross caps 1.0, 0.5 and 0.0.
+    #[test]
+    fn placement_failure_is_monotone(seed in 0u64..1_000_000) {
+        let mut rng = Rng64::new(seed);
+        let mut scratch = PlacementScratch::new();
+        for spec in [
+            TopologySpec::Flat,
+            TopologySpec::Racks { size: 4, cross_cap: 1.0 },
+            TopologySpec::Racks { size: 4, cross_cap: 0.5 },
+            TopologySpec::Racks { size: 4, cross_cap: 0.0 },
+        ] {
+            let cluster = random_busy_cluster(&mut rng, spec);
+            for _ in 0..24 {
+                let n = rng.range_u64(1, 6) as u32;
+                let mb = rng.range_u64(1, 80) * 256 - rng.range_u64(0, 255);
+                let (k, delta) = (rng.range_u64(1, 3) as u32, rng.range_u64(1, 4096));
+                for exclusive in [false, true] {
+                    let mut fails = |n: u32, mb: u64| {
+                        if exclusive {
+                            place_exclusive_with(&cluster, n, mb, &mut scratch).is_none()
+                        } else {
+                            place_spread_with(&cluster, n, mb, &mut scratch).is_none()
+                        }
+                    };
+                    if fails(n, mb) {
+                        let at = format!("{spec:?}, exclusive {exclusive}: ({n}, {mb}) fails");
+                        prop_assert!(fails(n + k, mb), "{}, ({}, {}) fits", at, n + k, mb);
+                        prop_assert!(fails(n, mb + delta), "{}, ({}, {}) fits", at, n, mb + delta);
+                    }
+                }
+            }
         }
     }
 }
